@@ -12,13 +12,19 @@ COVER_MIN_IR ?= 90.0
 # the gate that judges quality must itself stay tested.
 COVER_MIN_EVAL ?= 85.0
 
-.PHONY: build test race vet fmt-check staticcheck smoke snapshot-smoke mmap-smoke compact-smoke cluster-smoke loadgen-smoke eval-smoke soak bench bench-json bench-regression bench-load eval cover ci
+.PHONY: build test bench-module race vet fmt-check staticcheck smoke snapshot-smoke mmap-smoke compact-smoke cluster-smoke loadgen-smoke eval-smoke soak bench bench-json bench-regression bench-load eval cover ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# bench-module vets and tests the benchmark driver, a Go module of its
+# own that `go test ./...` never compiles: a removed or renamed symbol
+# the driver calls fails here instead of at the next benchmark run.
+bench-module:
+	cd benchmark && GOTOOLCHAIN=local $(GO) vet ./... && GOTOOLCHAIN=local $(GO) test ./...
 
 # Race-check the packages with concurrent hot paths: parallel engine
 # build, sharded scoring, live instance mutation, online compaction,
@@ -195,4 +201,4 @@ cover:
 	  { echo "cover: FAIL: internal/eval coverage $$total% is below the $(COVER_MIN_EVAL)% floor" >&2; exit 1; }
 	@rm -f coverage_eval.out
 
-ci: build fmt-check vet test race soak smoke snapshot-smoke mmap-smoke compact-smoke cluster-smoke loadgen-smoke eval eval-smoke bench bench-regression cover
+ci: build fmt-check vet test bench-module race soak smoke snapshot-smoke mmap-smoke compact-smoke cluster-smoke loadgen-smoke eval eval-smoke bench bench-regression cover

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // Client speaks the /v1/partition RPC to one remote partition server.
@@ -16,7 +17,9 @@ import (
 type Client struct {
 	// BaseURL is the partition server's root, e.g. "http://10.0.0.7:8080".
 	BaseURL string
-	// HTTPClient is the transport; nil means http.DefaultClient.
+	// HTTPClient is the transport; nil means defaultHTTPClient, whose
+	// timeout bounds every RPC so a hung partition fails the scatter
+	// with *UnavailableError instead of holding it forever.
 	HTTPClient *http.Client
 	// PartitionIndex labels transport failures (UnavailableError).
 	PartitionIndex int
@@ -30,6 +33,11 @@ func NewClient(baseURL string, index int) *Client {
 // maxReplyBytes bounds every RPC reply body (a defensive mirror of the
 // server's request bound; partition pages are small).
 const maxReplyBytes = 8 << 20
+
+// defaultHTTPClient is the transport of every Client without its own.
+// Its timeout covers the whole exchange, reply body included, and sits
+// orders of magnitude above a healthy partition's tail latency.
+var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
 
 // Search implements Partition.
 func (c *Client) Search(ctx context.Context, req PageRequest) (*PageReply, error) {
@@ -84,7 +92,7 @@ func (c *Client) post(ctx context.Context, path string, body, out interface{}) e
 func (c *Client) do(req *http.Request, out interface{}) error {
 	client := c.HTTPClient
 	if client == nil {
-		client = http.DefaultClient
+		client = defaultHTTPClient
 	}
 	resp, err := client.Do(req)
 	if err != nil {

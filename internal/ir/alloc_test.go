@@ -61,6 +61,31 @@ func TestShardedSearchAllocs(t *testing.T) {
 	}
 }
 
+// TestCountCandidatesAllocs pins the exact-total count at zero
+// allocations once the scratch pool is warm: the term dedupe is inline
+// and the candidate bitset is pooled. Both counting paths run —
+// popcount (no filter) and per-bit with a filter — across three shards
+// and a shard subset.
+func TestCountCandidatesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race-detector instrumentation")
+	}
+	ix := benchTopKIndex(8000, 3)
+	terms := Tokenize("t001 t005 t150 t005")
+	allow := func(name string) bool { return name[len(name)-1] != '7' }
+	count := func() {
+		ix.CountCandidates(terms, nil)
+		ix.CountCandidates(terms, allow)
+		ix.CountCandidatesSet(terms, nil, ShardSet{Index: 1, Count: 2})
+	}
+	for i := 0; i < 4; i++ {
+		count()
+	}
+	if got := testing.AllocsPerRun(50, count); got != 0 {
+		t.Errorf("CountCandidatesSet allocates %.1f objects/op, want 0", got)
+	}
+}
+
 // BenchmarkTopKAllocs is the benchcheck allocation gate's input: run
 // with -benchmem, its allocs/op metric is floored by
 // cmd/benchcheck -allocs in make bench-regression.

@@ -230,6 +230,48 @@ func (c *cursor) seek(d int) {
 	c.skipDead()
 }
 
+// markDocs sets bit d of bits for every doc id the list holds,
+// tombstones included; callers filter dead slots afterwards. Only the
+// gap streams are read, never the TFs. A block whose id range spans
+// exactly its posting count holds consecutive ids (they are strictly
+// increasing), so it is filled as a bit range without decoding.
+func (pl *postingList) markDocs(bits []uint64) {
+	for bi := range pl.blocks {
+		b := &pl.blocks[bi]
+		if b.LastDoc-b.FirstDoc+1 == b.N {
+			setBitRange(bits, b.FirstDoc, b.LastDoc+1)
+			continue
+		}
+		d, docs, off := b.FirstDoc, b.Docs, 0
+		bits[d>>6] |= 1 << (uint(d) & 63)
+		for i := 1; i < b.N; i++ {
+			gap, n := uint64(docs[off]), 1
+			if gap >= 0x80 {
+				gap, n = binary.Uvarint(docs[off:])
+			}
+			off += n
+			d += int(gap)
+			bits[d>>6] |= 1 << (uint(d) & 63)
+		}
+	}
+}
+
+// setBitRange sets bits [lo, hi) of a word bitset; lo < hi.
+func setBitRange(bits []uint64, lo, hi int) {
+	first, last := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << (uint(lo) & 63)
+	hiMask := ^uint64(0) >> (63 - (uint(hi-1) & 63))
+	if first == last {
+		bits[first] |= loMask & hiMask
+		return
+	}
+	bits[first] |= loMask
+	for w := first + 1; w < last; w++ {
+		bits[w] = ^uint64(0)
+	}
+	bits[last] |= hiMask
+}
+
 // blockMaxTF and blockMinLen expose the current block's bound metadata.
 func (c *cursor) blockMaxTF() float64  { return c.pl.blocks[c.bi].MaxTF }
 func (c *cursor) blockMinLen() float64 { return c.pl.blocks[c.bi].MinLen }

@@ -6,10 +6,11 @@ import "sync"
 // retrieval path: the query term-frequency map and sorted-term buffer
 // the plan builders fold the query into, the plan-term slice itself,
 // the cursor/order/bound buffers of the MaxScore driver, the top-k
-// heap backing array, and the named-document score accumulator.
-// Without it every search allocated each of these afresh — the
-// dominant allocation cost of a k<=10 page — and the duplicate qtf
-// construction in the two plan builders doubled the map churn.
+// heap backing array, the named-document score accumulator, and the
+// candidate-count bitset. Without it every search allocated each of
+// these afresh — the dominant allocation cost of a k<=10 page — and the
+// duplicate qtf construction in the two plan builders doubled the map
+// churn.
 //
 // A scratch is single-goroutine property: every slice or map handed
 // out by a plan or driver aliases it, so callers must copy anything
@@ -28,6 +29,7 @@ type searchScratch struct {
 	suffix  []float64
 	heap    []FinalHit
 	raw     map[int]float64
+	bits    []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -62,6 +64,14 @@ func grownInts(buf []int, n int) []int {
 func grownF64s(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// grownU64s is grownInts for bitset words.
+func grownU64s(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
 	}
 	return buf[:n]
 }

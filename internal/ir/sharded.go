@@ -3,7 +3,9 @@ package ir
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -531,9 +533,11 @@ func (s *ShardedIndex) ScoreNamedSet(scorer Scorer, terms []string, names []stri
 // CountCandidates returns the number of live documents containing at
 // least one of the query terms and passing the allow filter (nil allows
 // everything) — exactly the candidate set the exhaustive scorer would
-// score and a pruned search may legitimately never visit. It walks doc
-// ids only (no score math, no ranking), so callers can report exact
-// totals next to pruned top-k pages.
+// score and a pruned search may legitimately never visit. Each shard's
+// candidates are the union of its term lists' doc ids, built as a
+// pooled word bitset from the gap streams alone (no TFs, no score math,
+// no ranking), so callers can report exact totals next to pruned top-k
+// pages; see CountCandidatesSet for the per-shard steps.
 func (s *ShardedIndex) CountCandidates(terms []string, allow func(name string) bool) int {
 	return s.CountCandidatesSet(terms, allow, ShardSet{})
 }
@@ -541,31 +545,63 @@ func (s *ShardedIndex) CountCandidates(terms []string, allow func(name string) b
 // CountCandidatesSet is CountCandidates restricted to the shards the
 // set selects. Subsets of one Count-way division are disjoint and cover
 // the index, so the per-subset counts sum to the global count.
+//
+// Per shard: with no filter and one distinct term present, the count is
+// that list's live posting count. Otherwise every present list is OR-ed
+// into the bitset — consecutive-id blocks as a bit range, the rest by
+// decoding their doc-id gaps — and the set bits are counted: by
+// popcount when there is no filter and the shard holds no tombstones,
+// else one by one, skipping removed slots and names allow rejects.
+// A warm call allocates nothing.
 func (s *ShardedIndex) CountCandidatesSet(terms []string, allow func(name string) bool, set ShardSet) int {
-	distinct := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		distinct[t] = true
-	}
+	sc := getScratch()
 	n := 0
 	for si, shard := range s.shards {
-		if !set.Contains(si) {
-			continue
+		if set.Contains(si) {
+			n += shard.countCandidates(terms, allow, sc)
 		}
-		var seen []bool
-		for t := range distinct {
-			pl := shard.postings[t]
-			if pl == nil {
-				continue
-			}
-			if seen == nil {
-				seen = make([]bool, shard.LocalLen())
-			}
-			for c := newCursor(shard, pl); !c.done; c.next() {
-				seen[c.doc] = true
-			}
+	}
+	putScratch(sc)
+	return n
+}
+
+// countCandidates is one shard's CountCandidatesSet, with the bitset
+// borrowed from sc.
+func (ix *Index) countCandidates(terms []string, allow func(name string) bool, sc *searchScratch) int {
+	present := 0
+	var only *postingList
+	for i, t := range terms {
+		if pl := ix.postings[t]; pl != nil && !slices.Contains(terms[:i], t) {
+			present++
+			only = pl
 		}
-		for local, hit := range seen {
-			if hit && (allow == nil || allow(shard.names[local])) {
+	}
+	if present == 0 {
+		return 0
+	}
+	if present == 1 && allow == nil {
+		return only.live
+	}
+	words := grownU64s(sc.bits, (len(ix.names)+63)>>6)
+	sc.bits = words
+	clear(words)
+	for i, t := range terms {
+		if pl := ix.postings[t]; pl != nil && !slices.Contains(terms[:i], t) {
+			pl.markDocs(words)
+		}
+	}
+	n := 0
+	if allow == nil && len(ix.byName) == len(ix.names) {
+		for _, w := range words {
+			n += bits.OnesCount64(w)
+		}
+		return n
+	}
+	for wi, w := range words {
+		for w != 0 {
+			d := wi<<6 | bits.TrailingZeros64(w)
+			w &= w - 1
+			if ix.docLen[d] != 0 && (allow == nil || allow(ix.names[d])) {
 				n++
 			}
 		}

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -305,38 +306,126 @@ func TestPrunedFallbackTinyTFs(t *testing.T) {
 	}
 }
 
-// TestCountCandidates checks the candidate count equals the exhaustive
-// scorer's candidate set size, with and without a filter.
-func TestCountCandidates(t *testing.T) {
+// countCorpus builds a three-shard index whose term lists exercise
+// every shape the candidate count distinguishes: "dense" is in every
+// document, so each shard's list is made of consecutive-id blocks;
+// "rare" is in every 400th, so its per-shard gaps are multi-byte
+// uvarints; "odd" is in every other, so its blocks are sparse; and the
+// random words mix in short, irregular lists.
+func countCorpus(r *rand.Rand) *ShardedIndex {
 	words := randomCorpusWords()
-	r := rand.New(rand.NewSource(11))
 	ix := NewShardedIndex(3)
-	for i := 0; i < 120; i++ {
-		ix.MustAdd(fmt.Sprintf("doc%04d", i), randomDoc(r, words)...)
+	for i := 0; i < 3000; i++ {
+		fields := append(randomDoc(r, words), Field{Text: "dense"})
+		if i%400 == 0 {
+			fields = append(fields, Field{Text: "rare"})
+		}
+		if i%2 == 1 {
+			fields = append(fields, Field{Text: "odd"})
+		}
+		ix.MustAdd(fmt.Sprintf("doc%04d", i), fields...)
 	}
-	for i := 0; i < 120; i += 3 {
+	return ix
+}
+
+// restoreTrusted rebuilds ix the way a mapped snapshot boot does:
+// documents and tombstones replayed in slot order, then every shard's
+// exported posting lists installed through ImportPostingsTrusted.
+func restoreTrusted(t *testing.T, ix *ShardedIndex) *ShardedIndex {
+	t.Helper()
+	out := NewShardedIndex(ix.NumShards())
+	for id := 0; id < ix.Slots(); id++ {
+		if name := ix.Name(id); name == "" {
+			out.AddTombstone()
+		} else if _, err := out.AddAnalyzedDocOnly(name, ix.Terms(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for shard := 0; shard < ix.NumShards(); shard++ {
+		if err := out.ImportPostingsTrusted(shard, ix.ExportPostings(shard)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestCountCandidates checks the candidate count equals the exhaustive
+// scorer's candidate set size — with and without a filter, on every
+// shard subset, before and after removals, and on an index restored
+// through the trusted (mapped) import path.
+func TestCountCandidates(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	ix := countCorpus(r)
+	denseBlock, wideGap := false, false
+	for _, b := range ix.shards[0].postings["dense"].blocks {
+		denseBlock = denseBlock || b.LastDoc-b.FirstDoc+1 == b.N
+	}
+	for _, b := range ix.shards[0].postings["rare"].blocks {
+		wideGap = wideGap || slices.ContainsFunc(b.Docs, func(c byte) bool { return c >= 0x80 })
+	}
+	if !denseBlock || !wideGap {
+		t.Fatalf("corpus lacks a shape under test: dense block %v, multi-byte gap %v", denseBlock, wideGap)
+	}
+	words := randomCorpusWords()
+	queries := []string{
+		"dense",              // one term: the live-count shortcut
+		"rare",               // multi-byte gaps
+		"rare rare",          // a duplicate is still one term
+		"absent",             // no list anywhere
+		"absent rare absent", // absent terms drop out of the shortcut
+		"odd",                // sparse blocks
+		"odd rare odd",
+		"dense rare",
+		"w03 w17 rare w03",
+	}
+	for q := 0; q < 12; q++ {
+		queries = append(queries, randomQuery(r, words))
+	}
+	allow := func(name string) bool { return strings.HasSuffix(name, "1") }
+	check := func(label string, ix *ShardedIndex) {
+		t.Helper()
+		for _, query := range queries {
+			terms := Tokenize(query)
+			oracle := ix.Search(Exhaustive{S: BM25{}}, query, 0)
+			if got := ix.CountCandidates(terms, nil); got != len(oracle) {
+				t.Fatalf("%s q=%q: CountCandidates=%d, oracle candidates=%d", label, query, got, len(oracle))
+			}
+			want := 0
+			for _, h := range oracle {
+				if allow(h.Name) {
+					want++
+				}
+			}
+			if got := ix.CountCandidates(terms, allow); got != want {
+				t.Fatalf("%s q=%q filtered: CountCandidates=%d, want %d", label, query, got, want)
+			}
+			for count := 2; count <= ix.NumShards(); count++ {
+				sum := 0
+				for i := 0; i < count; i++ {
+					set := ShardSet{Index: i, Count: count}
+					got := ix.CountCandidatesSet(terms, nil, set)
+					if want := len(ix.SearchSet(Exhaustive{S: BM25{}}, query, 0, set)); got != want {
+						t.Fatalf("%s q=%q set %+v: CountCandidatesSet=%d, oracle %d", label, query, set, got, want)
+					}
+					sum += got
+				}
+				if sum != len(oracle) {
+					t.Fatalf("%s q=%q: %d-way subset counts sum to %d, want %d", label, query, count, sum, len(oracle))
+				}
+			}
+		}
+	}
+	check("fresh", ix)
+	check("fresh trusted restore", restoreTrusted(t, ix))
+	// Tombstone every 7th document: dense blocks now hold dead ids, and
+	// every shard holds tombstones, so no shard takes the popcount path.
+	for i := 0; i < 3000; i += 7 {
 		if err := ix.Remove(fmt.Sprintf("doc%04d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for q := 0; q < 20; q++ {
-		query := randomQuery(r, words)
-		terms := Tokenize(query)
-		oracle := ix.Search(Exhaustive{S: BM25{}}, query, 0)
-		if got := ix.CountCandidates(terms, nil); got != len(oracle) {
-			t.Fatalf("q=%q: CountCandidates=%d, oracle candidates=%d", query, got, len(oracle))
-		}
-		allow := func(name string) bool { return strings.HasSuffix(name, "1") }
-		want := 0
-		for _, h := range oracle {
-			if allow(h.Name) {
-				want++
-			}
-		}
-		if got := ix.CountCandidates(terms, allow); got != want {
-			t.Fatalf("q=%q filtered: CountCandidates=%d, want %d", query, got, want)
-		}
-	}
+	check("removed", ix)
+	check("removed trusted restore", restoreTrusted(t, ix))
 }
 
 // --- package microbench: the tentpole speedup -------------------------------

@@ -519,8 +519,11 @@ func (e *Engine) collectResults(hits []ir.Hit, exclude map[string]bool, allowed 
 // scorer could not build a pruning plan and the caller must fall back
 // to the exhaustive path.
 //
-// The exact Total a paginating client needs is counted by walking
-// candidate doc ids only — no score math. The anchor-boosted instances
+// The exact Total a paginating client needs is counted as a bitset
+// union of the query terms' doc ids (ShardedIndex.CountCandidatesSet): dense
+// blocks fill as bit ranges, an unfiltered total is a popcount, and
+// only a filter or tombstones make it visit each candidate — no score
+// math, no cursor walk. The anchor-boosted instances
 // (those whose label is an entity the query names — a small set the
 // label index resolves directly) are scored exactly via cursor seeks,
 // so the anchor boost never inflates the unseen-document bound. The
