@@ -12,7 +12,7 @@ COVER_MIN_IR ?= 90.0
 # the gate that judges quality must itself stay tested.
 COVER_MIN_EVAL ?= 85.0
 
-.PHONY: build test bench-module race vet fmt-check staticcheck smoke snapshot-smoke mmap-smoke compact-smoke cluster-smoke loadgen-smoke eval-smoke soak bench bench-json bench-regression bench-load eval cover ci
+.PHONY: build test bench-module race vet fmt-check staticcheck smoke snapshot-smoke mmap-smoke compact-smoke cluster-smoke eval-smoke smoke-selftest soak bench bench-json bench-regression eval cover ci
 
 build:
 	$(GO) build ./...
@@ -61,8 +61,8 @@ staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 # smoke boots qunitsd and drives the HTTP surface (/healthz, /v1/search
-# single+batch, /v1/feedback, /v1/instances, legacy /search, graceful
-# shutdown) with curl.
+# single+batch, /v1/feedback, /v1/instances, legacy /search, /stats
+# counters and latency quantiles, graceful shutdown) with curl.
 smoke:
 	./scripts/smoke.sh basic
 
@@ -95,13 +95,11 @@ compact-smoke:
 cluster-smoke:
 	./scripts/smoke.sh cluster
 
-# loadgen-smoke boots qunitsd on a small synth corpus, drives it with a
-# short closed-loop and open-loop cmd/loadgen burst (plus a closed-loop
-# burst through a 2-partition coordinator), and gates the reports with
-# benchcheck -load: zero errors, a request floor, and a generous
-# absolute p99 ceiling.
-loadgen-smoke:
-	./scripts/smoke.sh loadgen
+# smoke-selftest is the smoke harness's negative control: a passing
+# basic run must exit 0 and one forced to fail (SMOKE_FORCE_FAIL=1) must
+# exit 1, so every smoke target's exit code means what it says.
+smoke-selftest:
+	./scripts/smoke.sh selftest
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
@@ -161,14 +159,6 @@ bench-regression:
 	$(GO) run ./cmd/benchcheck -allocs bench_allocs.json -alloc-bench BenchmarkTopKAllocs -max-allocs 12
 	@rm -f bench_topk.json bench_compact.json bench_batch.json bench_allocs.json
 
-# bench-load refreshes the committed BENCH_LOAD.json: the loadgen smoke
-# flow with its single-node report exported to the repo root. Like
-# BENCH.json, the committed numbers document a trajectory; the CI gate
-# uses machine-independent absolute ceilings, not these raw latencies.
-bench-load:
-	LOADGEN_JSON=$(CURDIR)/BENCH_LOAD.json ./scripts/smoke.sh loadgen
-	@echo "wrote BENCH_LOAD.json"
-
 # eval is the relevance gate: run both committed golden sets offline
 # through cmd/eval, enforce each set's committed Precision@k/NDCG@k
 # floors, and write the deterministic BENCH_EVAL.json report.
@@ -182,23 +172,28 @@ eval:
 eval-smoke:
 	./scripts/smoke.sh eval
 
-# cover writes the merged coverage profile CI uploads as an artifact and
-# gates internal/ir — the scoring/compaction core — and internal/eval —
-# the relevance-gate machinery — on minimum statement coverage, so new
-# retrieval or evaluation code cannot land untested.
+# cover runs the suite once with every package instrumented
+# (-coverpkg=./...) and writes the profile CI uploads as an artifact. It
+# then gates internal/ir — the scoring/compaction core — and
+# internal/eval — the relevance-gate machinery — on minimum statement
+# coverage, so new retrieval or evaluation code cannot land untested.
 cover:
-	$(GO) test -coverprofile=coverage.out ./...
-	$(GO) test -coverpkg=./internal/ir -coverprofile=coverage_ir.out ./internal/... .
-	@total=$$($(GO) tool cover -func=coverage_ir.out | awk '/^total:/ { gsub(/%/, "", $$3); print $$3 }'); \
-	echo "internal/ir coverage: $$total% (floor $(COVER_MIN_IR)%)"; \
-	awk -v got="$$total" -v min="$(COVER_MIN_IR)" 'BEGIN { exit (got+0 >= min+0) ? 0 : 1 }' || \
-	  { echo "cover: FAIL: internal/ir coverage $$total% is below the $(COVER_MIN_IR)% floor" >&2; exit 1; }
-	@rm -f coverage_ir.out
-	$(GO) test -coverpkg=./internal/eval -coverprofile=coverage_eval.out ./internal/... .
-	@total=$$($(GO) tool cover -func=coverage_eval.out | awk '/^total:/ { gsub(/%/, "", $$3); print $$3 }'); \
-	echo "internal/eval coverage: $$total% (floor $(COVER_MIN_EVAL)%)"; \
-	awk -v got="$$total" -v min="$(COVER_MIN_EVAL)" 'BEGIN { exit (got+0 >= min+0) ? 0 : 1 }' || \
-	  { echo "cover: FAIL: internal/eval coverage $$total% is below the $(COVER_MIN_EVAL)% floor" >&2; exit 1; }
-	@rm -f coverage_eval.out
+	$(GO) test -coverpkg=./... -coverprofile=coverage.out ./internal/... .
+	$(call cover_floor,internal/ir,$(COVER_MIN_IR))
+	$(call cover_floor,internal/eval,$(COVER_MIN_EVAL))
 
-ci: build fmt-check vet test bench-module race soak smoke snapshot-smoke mmap-smoke compact-smoke cluster-smoke loadgen-smoke eval eval-smoke bench bench-regression cover
+# cover_floor PKG,MIN fails when PKG's own statements in coverage.out are
+# covered below MIN percent. The profile repeats each block once per test
+# binary; a block counts once, as covered if any binary hit it.
+define cover_floor
+@awk -v pkg='qunits/$(1)' -v min='$(2)' ' \
+	NR > 1 { dir = $$1; sub(/\/[^\/]*$$/, "", dir); if (dir != pkg) next; \
+		n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+	END { for (b in n) { all += n[b]; if (b in hit) got += n[b] } \
+		pct = all ? 100 * got / all : 0; \
+		printf "%s coverage: %.1f%% (floor %s%%)\n", pkg, pct, min; \
+		if (pct < min) { printf "cover: FAIL: %s coverage %.1f%% is below the %s%% floor\n", pkg, pct, min > "/dev/stderr"; exit 1 } }' \
+	coverage.out
+endef
+
+ci: build fmt-check vet test bench-module race soak smoke smoke-selftest snapshot-smoke mmap-smoke compact-smoke cluster-smoke eval eval-smoke bench bench-regression cover

@@ -16,18 +16,6 @@
 //	  -fast 'BenchmarkTopKScoring/pruned/k=10' \
 //	  -slow 'BenchmarkTopKScoring/exhaustive/k=10'
 //
-// With -load it instead gates a cmd/loadgen BENCH_LOAD.json document:
-// every run must stay under an absolute p99 ceiling (-max-p99, in
-// microseconds — set it generously above the worst expected CI-runner
-// tail, it exists to catch order-of-magnitude regressions, not jitter),
-// under an error-rate ceiling (-max-error-rate), and over a request
-// floor (-min-requests, so an accidentally-empty run cannot pass). An
-// optional committed baseline (-load-baseline) additionally bounds p99
-// growth to a multiple of the baseline's (-max-p99-regress).
-//
-//	go run ./cmd/benchcheck -load /tmp/BENCH_LOAD.json \
-//	  -max-p99 500000 -max-error-rate 0 -min-requests 50
-//
 // With -allocs it instead gates a benchmark's allocs/op against an
 // absolute ceiling (-max-allocs). Allocation counts — unlike ns/op —
 // are machine-independent, so an absolute gate is meaningful: the
@@ -45,8 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-
-	"qunits/internal/loadgen"
 )
 
 // result mirrors benchjson's output shape.
@@ -63,23 +49,10 @@ func main() {
 	slow := flag.String("slow", "BenchmarkTopKScoring/exhaustive/k=10", "benchmark whose ns/op anchors the ratio")
 	minSpeedup := flag.Float64("min-speedup", 2.0, "fail when slow/fast falls below this ratio")
 	maxRegress := flag.Float64("max-regress", 0.20, "fail when the ratio erodes by more than this fraction vs the baseline")
-	load := flag.String("load", "", "gate a cmd/loadgen BENCH_LOAD.json instead of a benchjson ratio")
-	loadBaseline := flag.String("load-baseline", "", "committed BENCH_LOAD.json to bound p99 growth against (optional)")
-	maxP99 := flag.Int64("max-p99", 0, "fail when any load run's p99 exceeds this many microseconds (0 = no ceiling)")
-	maxErrorRate := flag.Float64("max-error-rate", 0, "fail when any load run's error rate exceeds this fraction")
-	minRequests := flag.Int64("min-requests", 1, "fail when any load run measured fewer requests than this")
-	maxP99Regress := flag.Float64("max-p99-regress", 3.0, "fail when a run's p99 exceeds this multiple of the baseline run's (same mode)")
 	allocs := flag.String("allocs", "", "gate a benchjson file's allocs/op instead of a ns/op ratio")
 	allocBench := flag.String("alloc-bench", "BenchmarkTopKAllocs", "benchmark whose allocs/op is gated by -max-allocs")
 	maxAllocs := flag.Float64("max-allocs", 12, "fail when the -alloc-bench benchmark allocates more than this many objects per op")
 	flag.Parse()
-	if *load != "" {
-		if checkLoad(*load, *loadBaseline, *maxP99, *maxErrorRate, *minRequests, *maxP99Regress) {
-			os.Exit(1)
-		}
-		fmt.Println("benchcheck: ok")
-		return
-	}
 	if *allocs != "" {
 		if checkAllocs(*allocs, *allocBench, *maxAllocs) {
 			os.Exit(1)
@@ -123,60 +96,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("benchcheck: ok")
-}
-
-// checkLoad gates a BENCH_LOAD.json document; returns true on failure.
-func checkLoad(path, baselinePath string, maxP99 int64, maxErrRate float64, minRequests int64, maxP99Regress float64) bool {
-	doc, err := loadgen.ReadDocument(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		return true
-	}
-	if len(doc.Runs) == 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: %s has no runs\n", path)
-		return true
-	}
-	// Baseline p99 per mode, when a usable baseline exists.
-	basis := map[string]int64{}
-	if baselinePath != "" {
-		base, err := loadgen.ReadDocument(baselinePath)
-		if err != nil {
-			// A missing or stale baseline is not fatal: absolute gates
-			// still apply (mirrors the benchjson baseline behavior).
-			fmt.Printf("benchcheck: no usable load baseline (%v); absolute gates only\n", err)
-		} else {
-			for _, r := range base.Runs {
-				if r.Latency.P99 > 0 {
-					basis[r.Mode] = r.Latency.P99
-				}
-			}
-		}
-	}
-	failed := false
-	for _, r := range doc.Runs {
-		fmt.Printf("benchcheck: load %-6s %6d req %8.1f qps err=%.4f p99=%dµs\n",
-			r.Mode, r.Requests, r.QPS, r.ErrorRate, r.Latency.P99)
-		if r.Requests < minRequests {
-			fmt.Printf("benchcheck: FAIL: %s run measured %d requests, floor is %d\n", r.Mode, r.Requests, minRequests)
-			failed = true
-		}
-		if r.ErrorRate > maxErrRate {
-			fmt.Printf("benchcheck: FAIL: %s run error rate %.4f exceeds %.4f\n", r.Mode, r.ErrorRate, maxErrRate)
-			failed = true
-		}
-		if maxP99 > 0 && r.Latency.P99 > maxP99 {
-			fmt.Printf("benchcheck: FAIL: %s run p99 %dµs exceeds the %dµs ceiling\n", r.Mode, r.Latency.P99, maxP99)
-			failed = true
-		}
-		if base, ok := basis[r.Mode]; ok && maxP99Regress > 0 {
-			if ceil := int64(float64(base) * maxP99Regress); r.Latency.P99 > ceil {
-				fmt.Printf("benchcheck: FAIL: %s run p99 %dµs exceeds %.1fx the baseline's %dµs\n",
-					r.Mode, r.Latency.P99, maxP99Regress, base)
-				failed = true
-			}
-		}
-	}
-	return failed
 }
 
 // checkAllocs gates a benchmark's allocs/op against an absolute

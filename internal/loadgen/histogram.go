@@ -1,9 +1,8 @@
-// Package loadgen is the traffic half of the scale story: it replays
-// zipfian query-log workloads against a running qunitsd over HTTP in
-// open-loop (target QPS) and closed-loop (fixed concurrency) modes and
-// digests the observed latencies into an HDR-style histogram. The
-// histogram is shared with internal/server, which records per-endpoint
-// service times into the same structure for GET /stats.
+// Package loadgen is the lock-free histogram shared by /stats and the
+// benchmark: internal/server records per-endpoint service times into it
+// for GET /stats, and the benchmark driver's tests hold its bucketed
+// quantiles against their raw-sample recorder. Traffic itself comes
+// from the benchmark driver (benchmark/).
 package loadgen
 
 import (
@@ -98,7 +97,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 
 // Summary is a point-in-time digest of a histogram, in the unit the
 // caller recorded (microseconds throughout this repo). It is the shape
-// BENCH_LOAD.json and GET /stats carry.
+// GET /stats carries under latency_us.
 type Summary struct {
 	Count int64 `json:"count"`
 	Mean  int64 `json:"mean_us"`

@@ -1,19 +1,10 @@
 package loadgen
 
 import (
-	"context"
-	"encoding/json"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
-	"time"
-
-	"qunits/internal/imdb"
-	"qunits/internal/querylog"
 )
 
 func TestHistogramExactBelowSubBuckets(t *testing.T) {
@@ -79,199 +70,5 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 	if h.Quantile(0.5) <= 0 || h.Quantile(0.99) < h.Quantile(0.5) {
 		t.Fatal("quantiles not monotone")
-	}
-}
-
-func testWorkload(t *testing.T) (*Workload, *imdb.Universe) {
-	t.Helper()
-	u := imdb.MustGenerate(imdb.Config{Seed: 3, Persons: 300, Movies: 150})
-	return ForUniverse(u, 7, 3000), u
-}
-
-func TestWorkloadReplayIsZipfianAndDeterministic(t *testing.T) {
-	w, _ := testWorkload(t)
-	if w.Queries() == 0 {
-		t.Fatal("empty workload")
-	}
-	counts := map[string]int{}
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 20000; i++ {
-		op := w.Next(r, 0)
-		if op.Kind != "search" {
-			t.Fatalf("mutate op at rate 0: %+v", op)
-		}
-		counts[op.Query]++
-	}
-	// The head of the log must dominate any tail query.
-	head := counts[w.queries[0]]
-	tail := counts[w.queries[len(w.queries)-1]]
-	if head <= tail {
-		t.Errorf("replay not skewed: head %d, tail %d", head, tail)
-	}
-	// Identical seeds replay identical op sequences.
-	r1, r2 := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
-	for i := 0; i < 500; i++ {
-		if a, b := w.Next(r1, 0.1), w.Next(r2, 0.1); a != b {
-			t.Fatalf("replay diverges at op %d: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
-func TestWorkloadMutateMix(t *testing.T) {
-	w, _ := testWorkload(t)
-	r := rand.New(rand.NewSource(6))
-	muts := 0
-	for i := 0; i < 10000; i++ {
-		op := w.Next(r, 0.2)
-		if op.Kind == "feedback" {
-			muts++
-			if op.InstanceID == "" {
-				t.Fatal("feedback op without instance id")
-			}
-		}
-	}
-	if muts < 1500 || muts > 2500 {
-		t.Fatalf("mutate fraction %d/10000 far from 0.2", muts)
-	}
-}
-
-// fakeQunitsd answers /v1/search and /v1/feedback like a healthy node.
-func fakeQunitsd(t *testing.T, delay time.Duration, failEvery int) *httptest.Server {
-	t.Helper()
-	var n int64
-	var mu sync.Mutex
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		mu.Lock()
-		n++
-		fail := failEvery > 0 && n%int64(failEvery) == 0
-		mu.Unlock()
-		if fail {
-			w.WriteHeader(http.StatusInternalServerError)
-			return
-		}
-		var body map[string]any
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			t.Errorf("bad body: %v", err)
-		}
-		switch r.URL.Path {
-		case "/v1/search", "/v1/feedback":
-			w.Header().Set("Content-Type", "application/json")
-			w.Write([]byte(`{"results":[]}`)) //nolint:errcheck
-		default:
-			t.Errorf("unexpected path %s", r.URL.Path)
-			w.WriteHeader(http.StatusNotFound)
-		}
-	}))
-}
-
-func TestRunClosedLoop(t *testing.T) {
-	srv := fakeQunitsd(t, 0, 0)
-	defer srv.Close()
-	w, _ := testWorkload(t)
-	rep, err := Run(context.Background(), w, Options{
-		Target: srv.URL, Mode: ModeClosed, Concurrency: 4,
-		Duration: 300 * time.Millisecond, Warmup: 50 * time.Millisecond,
-		MutateRate: 0.1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests == 0 || rep.Errors != 0 {
-		t.Fatalf("requests=%d errors=%d", rep.Requests, rep.Errors)
-	}
-	if rep.QPS <= 0 || rep.Latency.P99 < rep.Latency.P50 {
-		t.Fatalf("implausible report: %+v", rep)
-	}
-	if rep.Mode != "closed" {
-		t.Fatalf("mode = %q", rep.Mode)
-	}
-}
-
-func TestRunOpenLoopHoldsRate(t *testing.T) {
-	srv := fakeQunitsd(t, 0, 0)
-	defer srv.Close()
-	w, _ := testWorkload(t)
-	rep, err := Run(context.Background(), w, Options{
-		Target: srv.URL, Mode: ModeOpen, QPS: 300, Concurrency: 64,
-		Duration: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TargetQPS != 300 {
-		t.Fatalf("target qps %v", rep.TargetQPS)
-	}
-	// Against an instant server the achieved rate should be close to the
-	// offered rate (generous bounds: CI machines stall).
-	if rep.QPS < 150 || rep.QPS > 450 {
-		t.Errorf("achieved %.0f qps against an offered 300", rep.QPS)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("errors: %d", rep.Errors)
-	}
-}
-
-func TestRunCountsErrors(t *testing.T) {
-	srv := fakeQunitsd(t, 0, 3) // every 3rd request fails
-	defer srv.Close()
-	w, _ := testWorkload(t)
-	rep, err := Run(context.Background(), w, Options{
-		Target: srv.URL, Mode: ModeClosed, Concurrency: 2,
-		Duration: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors == 0 {
-		t.Fatal("no errors recorded against a failing server")
-	}
-	if rep.ErrorRate < 0.15 || rep.ErrorRate > 0.5 {
-		t.Errorf("error rate %.2f far from 1/3", rep.ErrorRate)
-	}
-}
-
-func TestDocumentRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_LOAD.json")
-	doc := &Document{
-		Corpus: &CorpusInfo{Seed: 1, Persons: 10, Movies: 5, Queries: 100},
-		Runs: []*Report{{
-			Mode: "closed", Target: "http://x", Concurrency: 4, K: 5,
-			DurationSeconds: 1, Requests: 100, QPS: 100,
-			Latency: Summary{Count: 100, P50: 10, P99: 20, Max: 30},
-		}},
-	}
-	if err := doc.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDocument(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Runs) != 1 || got.Runs[0].Latency.P99 != 20 || got.Corpus.Queries != 100 {
-		t.Fatalf("round trip mangled: %+v", got)
-	}
-	if got.Runs[0].Text() == "" {
-		t.Fatal("empty text rendering")
-	}
-}
-
-func TestWorkloadFromLogDirect(t *testing.T) {
-	l := &querylog.Log{Entries: []querylog.Entry{
-		{Query: "star wars", Freq: 90},
-		{Query: "george clooney movies", Freq: 10},
-	}, Total: 100}
-	w := FromLog(l)
-	r := rand.New(rand.NewSource(2))
-	head := 0
-	for i := 0; i < 1000; i++ {
-		if w.Next(r, 0).Query == "star wars" {
-			head++
-		}
-	}
-	if head < 800 || head > 980 {
-		t.Fatalf("head frequency %d/1000, want ~900", head)
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"qunits/internal/imdb"
 )
 
-// Distribution properties the loadgen replay path depends on: the log's
-// frequency shape must be zipfian-skewed, deterministic per seed, and
-// stable as volume grows. A drift here silently changes every committed
-// BENCH_LOAD.json comparison, so these pin the contract.
+// Distribution properties the benchmark's query mixes depend on: the
+// log's frequency shape must be zipfian-skewed, deterministic per seed,
+// and stable as volume grows. A drift here silently changes what every
+// benchmark workload replays, so these pin the contract.
 
 func distUniverse(t *testing.T) *imdb.Universe {
 	t.Helper()

@@ -8,9 +8,9 @@ import (
 )
 
 // latencySet tracks one request-latency histogram per registered
-// endpoint pattern, sharing cmd/loadgen's lock-free log-bucketed
-// histogram so server-side /stats quantiles and client-side load
-// reports are directly comparable. The map is built once at mux
+// endpoint pattern in internal/loadgen's lock-free log-bucketed
+// histogram, the same structure the benchmark driver's tests use as
+// their bucketed reference. The map is built once at mux
 // registration and read-only afterwards; the histograms themselves are
 // safe for arbitrary handler concurrency.
 type latencySet struct {

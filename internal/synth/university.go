@@ -177,8 +177,8 @@ func GenerateUniversity(cfg UniversityConfig) (*relational.Database, error) {
 		seenC := make(map[int64]bool, n)
 		for j := 0; j < n; j++ {
 			// Square the uniform draw so enrollment is head-heavy: popular
-			// courses dominate, matching the zipfian traffic the loadgen
-			// workload assumes.
+			// courses dominate, matching the zipfian traffic the
+			// benchmark's query mixes assume.
 			c := int64(1 + int(float64(cfg.Courses)*r.Float64()*r.Float64()))
 			if c > int64(cfg.Courses) {
 				c = int64(cfg.Courses)

@@ -19,21 +19,43 @@
 # snapshot-smoke` the snapshot flow, `make mmap-smoke` the mmap flow,
 # `make compact-smoke` the
 # compact-under-load flow, `make cluster-smoke` the cluster flow,
-# `make loadgen-smoke` the load-generator flow (cmd/loadgen against a
-# synth corpus, single node and cluster, gated by benchcheck -load),
 # `make eval-smoke` the relevance-gate flow (cmd/eval offline on the
 # committed IMDb golden set, then online over /v1/search against a
 # qunitsd serving the same corpus, with the two reports required to be
-# byte-identical), `scripts/smoke.sh all` everything. Fast, hermetic,
-# and loud on failure.
+# byte-identical), `make smoke-selftest` the harness's own negative
+# control (a passing `basic` run must exit 0, one forced to fail must
+# exit 1), `scripts/smoke.sh all` every flow. Load and latency under
+# traffic are the benchmark's job (benchmark/README.md), not this
+# script's. Fast, hermetic, and loud on failure.
 #
-# Usage: smoke.sh [basic|snapshot|mmap|compact|cluster|loadgen|eval|all]   (default: all)
+# Usage: smoke.sh [basic|snapshot|mmap|compact|cluster|eval|selftest|all]   (default: all)
+#
+# SMOKE_FORCE_FAIL=1 makes start_server call fail as soon as qunitsd is
+# healthy; the selftest mode uses it to prove a failure exits 1.
 set -eu
 
 MODE="${1:-all}"
-case "$MODE" in basic|snapshot|mmap|compact|cluster|loadgen|eval|all) ;; *)
-    echo "smoke: unknown mode $MODE (want basic|snapshot|mmap|compact|cluster|loadgen|eval|all)" >&2; exit 2 ;;
+case "$MODE" in basic|snapshot|mmap|compact|cluster|eval|selftest|all) ;; *)
+    echo "smoke: unknown mode $MODE (want basic|snapshot|mmap|compact|cluster|eval|selftest|all)" >&2; exit 2 ;;
 esac
+
+if [ "$MODE" = "selftest" ]; then
+    # The harness's negative control: an exit code that is 1 on a pass
+    # and on a failure checks nothing, so require both outcomes.
+    echo "smoke: selftest: a passing basic run must exit 0"
+    rc=0; SMOKE_FORCE_FAIL= sh "$0" basic || rc=$?
+    [ "$rc" -eq 0 ] || { echo "smoke: FAIL: selftest: passing basic run exited $rc, want 0" >&2; exit 1; }
+    echo "smoke: selftest: a basic run forced to fail must exit 1"
+    rc=0; OUT=$(SMOKE_FORCE_FAIL=1 sh "$0" basic 2>&1) || rc=$?
+    [ "$rc" -eq 1 ] || { echo "smoke: FAIL: selftest: failing basic run exited $rc, want 1" >&2; exit 1; }
+    echo "$OUT" | grep -q 'FAIL: SMOKE_FORCE_FAIL is set' || {
+        echo "smoke: FAIL: selftest: basic run failed before the forced failure:" >&2
+        echo "$OUT" >&2
+        exit 1
+    }
+    echo "smoke: selftest: PASS"
+    exit 0
+fi
 
 # pick_ports N: print N distinct free TCP ports, one per line. All N
 # sockets are held open simultaneously while being picked, so the
@@ -56,12 +78,10 @@ if [ -n "${SMOKE_PORT:-}" ]; then
     # Explicit override keeps the old deterministic layout for debugging.
     PORT="$SMOKE_PORT"
     SPORT=$((PORT + 1)); P0PORT=$((PORT + 2)); P1PORT=$((PORT + 3)); COPORT=$((PORT + 4))
-    LPORT=$((PORT + 5)); LP0PORT=$((PORT + 6)); LP1PORT=$((PORT + 7)); LCOPORT=$((PORT + 8))
 else
     # shellcheck disable=SC2046
-    set -- $(pick_ports 9)
+    set -- $(pick_ports 5)
     PORT=$1; SPORT=$2; P0PORT=$3; P1PORT=$4; COPORT=$5
-    LPORT=$6; LP0PORT=$7; LP1PORT=$8; LCOPORT=$9
 fi
 BASE="http://127.0.0.1:$PORT"
 BIN="$(mktemp -d)/qunitsd"
@@ -75,11 +95,15 @@ cleanup() {
     for p in ${CPIDS:-}; do wait "$p" 2>/dev/null || true; done
     rm -f "$BIN" "$LOG" "$SNAP" "$SNAP.tmp" "$LOG.searchfail"
     [ -n "${CLOGS:-}" ] && rm -rf "$CLOGS"
-    [ -n "${LGLOGS:-}" ] && rm -rf "$LGLOGS"
     [ -n "${EVBIN:-}" ] && rm -f "$EVBIN"
     [ -n "${EVDIR:-}" ] && rm -rf "$EVDIR"
+    # A run that ends without `exit` takes the trap's last status, so a
+    # false test above must not be last; fail has already exited 1.
+    return 0
 }
-trap cleanup EXIT INT TERM
+trap cleanup EXIT
+# A signal ends the run as a failure; the EXIT trap then cleans up.
+trap 'exit 1' INT TERM
 
 fail() {
     echo "smoke: FAIL: $1" >&2
@@ -140,6 +164,7 @@ start_server() {
         kill -0 "$PID" 2>/dev/null || fail "server exited early"
         sleep 0.2
     done
+    [ -z "${SMOKE_FORCE_FAIL:-}" ] || fail "SMOKE_FORCE_FAIL is set"
 }
 
 # stop_server: SIGTERM and wait for the graceful drain.
@@ -197,6 +222,8 @@ if [ "$MODE" = "basic" ] || [ "$MODE" = "all" ]; then
     echo "smoke: GET /stats"
     OUT=$(curl -fsS "$BASE/stats")
     echo "$OUT" | jsonget 'd["feedbacks"]' | grep -qx 1 || fail "stats feedbacks: $OUT"
+    echo "$OUT" | jsonget 'd["latency_us"]["/v1/search"]["count"] > 0' | grep -qx True || fail "no /v1/search latency in stats: $OUT"
+    echo "$OUT" | jsonget 'd["latency_us"]["/v1/search"]["p99_us"] >= d["latency_us"]["/v1/search"]["p50_us"]' | grep -qx True || fail "non-monotone latency quantiles: $OUT"
 
     echo "smoke: graceful shutdown (SIGTERM)"
     stop_server
@@ -465,85 +492,6 @@ cluster: $C_OUT"
         while kill -0 "$p" 2>/dev/null; do
             i=$((i + 1))
             [ "$i" -gt 100 ] && cluster_fail "cluster node $p did not drain after SIGTERM"
-            sleep 0.1
-        done
-        wait "$p" 2>/dev/null || true
-    done
-    CPIDS=""
-fi
-
-if [ "$MODE" = "loadgen" ] || [ "$MODE" = "all" ]; then
-    # Boot qunitsd on a small synth corpus, hit it with a short
-    # closed-loop and open-loop burst from cmd/loadgen, and gate the
-    # result through benchcheck -load: zero errors, a sane request
-    # floor, and a generous absolute p99 ceiling (it catches
-    # order-of-magnitude regressions, not CI jitter). Then the same
-    # closed-loop burst through a coordinator over two static
-    # partitions, proving scatter-gather under real concurrency. Set
-    # LOADGEN_JSON to keep the single-node BENCH_LOAD.json.
-    LGLOGS="$(mktemp -d)"
-    LGBIN="$LGLOGS/loadgen"
-    BCBIN="$LGLOGS/benchcheck"
-    LJSON="${LOADGEN_JSON:-$LGLOGS/BENCH_LOAD.json}"
-    echo "smoke: building loadgen + benchcheck"
-    go build -o "$LGBIN" ./cmd/loadgen
-    go build -o "$BCBIN" ./cmd/benchcheck
-
-    PORT="$LPORT"
-    BASE="http://127.0.0.1:$PORT"
-    echo "smoke: starting qunitsd on a 3000-instance synth corpus (:$PORT)"
-    start_server -instances 3000
-
-    echo "smoke: loadgen closed+open burst against the single node"
-    "$LGBIN" -target "$BASE" -instances 3000 -mode both \
-        -duration 2s -warmup 500ms -qps 150 -mutate-rate 0.05 \
-        -json "$LJSON" >"$LGLOGS/loadgen.log" 2>&1 || fail "loadgen run failed: $(cat "$LGLOGS/loadgen.log")"
-    cat "$LGLOGS/loadgen.log"
-
-    echo "smoke: gating the load report (benchcheck -load)"
-    "$BCBIN" -load "$LJSON" -max-p99 2000000 -max-error-rate 0 -min-requests 50 \
-        || fail "load gate failed"
-
-    echo "smoke: /stats reports per-endpoint latency quantiles"
-    OUT=$(curl -fsS "$BASE/stats")
-    echo "$OUT" | jsonget 'd["latency_us"]["/v1/search"]["count"] > 0' | grep -qx True || fail "no /v1/search latency in stats: $OUT"
-    echo "$OUT" | jsonget 'd["latency_us"]["/v1/search"]["p99_us"] >= d["latency_us"]["/v1/search"]["p50_us"]' | grep -qx True || fail "non-monotone latency quantiles: $OUT"
-    stop_server
-
-    # lg_node NAME PORT FLAGS…: boot one cluster node for the loadgen
-    # leg (static partitions: no WAL, search-only traffic).
-    lg_node() {
-        name=$1; port=$2; shift 2
-        "$BIN" -addr "127.0.0.1:$port" -persons 120 -movies 80 -shards 4 "$@" >"$LGLOGS/$name.log" 2>&1 &
-        CPIDS="$CPIDS $!"
-        i=0
-        until curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; do
-            i=$((i + 1))
-            [ "$i" -gt 100 ] && fail "loadgen cluster node $name did not become healthy: $(cat "$LGLOGS/$name.log")"
-            sleep 0.2
-        done
-    }
-
-    echo "smoke: loadgen against a 2-partition cluster (:$LCOPORT)"
-    CPIDS=""
-    lg_node lgpart0 "$LP0PORT" -mode partition -partition-index 0 -partition-count 2
-    lg_node lgpart1 "$LP1PORT" -mode partition -partition-index 1 -partition-count 2
-    lg_node lgcoord "$LCOPORT" -mode coordinator -partitions "http://127.0.0.1:$LP0PORT,http://127.0.0.1:$LP1PORT"
-
-    "$LGBIN" -target "http://127.0.0.1:$LCOPORT" -persons 120 -movies 80 -mode closed \
-        -duration 2s -warmup 500ms \
-        -json "$LGLOGS/BENCH_LOAD.cluster.json" >"$LGLOGS/loadgen-cluster.log" 2>&1 \
-        || fail "cluster loadgen run failed: $(cat "$LGLOGS/loadgen-cluster.log")"
-    cat "$LGLOGS/loadgen-cluster.log"
-    "$BCBIN" -load "$LGLOGS/BENCH_LOAD.cluster.json" -max-p99 2000000 -max-error-rate 0 -min-requests 50 \
-        || fail "cluster load gate failed"
-
-    for p in $CPIDS; do kill -TERM "$p" 2>/dev/null || true; done
-    for p in $CPIDS; do
-        i=0
-        while kill -0 "$p" 2>/dev/null; do
-            i=$((i + 1))
-            [ "$i" -gt 100 ] && fail "loadgen cluster node $p did not drain after SIGTERM"
             sleep 0.1
         done
         wait "$p" 2>/dev/null || true
