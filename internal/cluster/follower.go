@@ -122,8 +122,8 @@ func (f *Follower) apply(rec Record) error {
 // typically (*WAL).LastSeq on a primary or (*Follower).AppliedSeq on a
 // follower checkpointing itself; nil records position 0.
 //
-// Both files are written via rename, so a crash mid-save leaves any
-// previous bootstrap intact.
+// Both files are fsynced and then published by rename, so a crash
+// mid-save leaves any previous bootstrap intact.
 func SaveBootstrap(path string, engine *search.Engine, seq func() uint64) error {
 	var pos uint64
 	capture := func() {}
@@ -135,25 +135,20 @@ func SaveBootstrap(path string, engine *search.Engine, seq func() uint64) error 
 		return fmt.Errorf("cluster: dumping engine state: %w", err)
 	}
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("cluster: creating bootstrap %s: %w", tmp, err)
-	}
-	if err := snapshot.SaveState(f, engine.Catalog().DB(), st); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := writeSynced(tmp, func(f *os.File) error {
+		return snapshot.SaveState(f, engine.Catalog().DB(), st)
+	}); err != nil {
 		return fmt.Errorf("cluster: writing bootstrap %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cluster: closing bootstrap %s: %w", tmp, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("cluster: publishing bootstrap %s: %w", path, err)
 	}
 	seqTmp := path + ".seq.tmp"
-	if err := os.WriteFile(seqTmp, []byte(strconv.FormatUint(pos, 10)+"\n"), 0o644); err != nil {
+	if err := writeSynced(seqTmp, func(f *os.File) error {
+		_, err := f.WriteString(strconv.FormatUint(pos, 10) + "\n")
+		return err
+	}); err != nil {
 		return fmt.Errorf("cluster: writing bootstrap sidecar %s: %w", seqTmp, err)
 	}
 	if err := os.Rename(seqTmp, path+".seq"); err != nil {
@@ -163,12 +158,36 @@ func SaveBootstrap(path string, engine *search.Engine, seq func() uint64) error 
 	return nil
 }
 
+// writeSynced creates path, fills it with write, then fsyncs and
+// closes it, removing it on any failure. The fsync comes before the
+// caller's rename because a journaled filesystem can make the rename
+// durable before the content, leaving a torn file at the final path.
+func writeSynced(path string, write func(*os.File) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
+}
+
 // LoadBootstrap restores an engine from a bootstrap snapshot and
 // returns it with the log position from the sidecar. A missing sidecar
 // means the snapshot predates WAL shipping (or was written by plain
-// snapshot tooling): position 0, which is only correct for an empty
-// log, so a follower pairing it with a non-empty WAL fails loudly on
-// the gap check rather than replaying from the wrong point.
+// snapshot tooling) and reads as position 0. That is only correct for
+// an empty log: paired with a non-empty WAL, a follower replays the
+// whole log over a snapshot that already contains some of it, no error
+// is raised, and replayed feedback compounds on the utilities it
+// already shifted.
 func LoadBootstrap(path string, db *relational.Database) (*search.Engine, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -191,8 +210,8 @@ func LoadBootstrap(path string, db *relational.Database) (*search.Engine, uint64
 // snapshot version allow it (see snapshot.LoadEngineFile) — follower
 // bootstrap then costs O(metadata), not O(corpus), and co-located
 // followers of the same bootstrap share one page-cached copy. mapped
-// reports whether the mapped path was taken (false = the streaming
-// fallback loaded it).
+// reports whether posting blocks are served from the mapping (false =
+// the snapshot was loaded by copy).
 func LoadBootstrapMapped(path string, db *relational.Database) (*search.Engine, uint64, bool, error) {
 	engine, mapped, err := snapshot.LoadEngineFile(path, db)
 	if err != nil {

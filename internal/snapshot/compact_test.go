@@ -81,7 +81,11 @@ func TestCompactedSnapshotIsSlotDense(t *testing.T) {
 	if err := SaveEngine(&buf, e); err != nil {
 		t.Fatal(err)
 	}
-	st, err := decodeState(bytes.NewReader(buf.Bytes()), fixtureDB(t))
+	head, blob, meta, err := splitSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeState(head, blob, meta, true, fixtureDB(t))
 	if err != nil {
 		t.Fatal(err)
 	}

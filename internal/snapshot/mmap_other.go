@@ -7,10 +7,8 @@ import (
 	"os"
 )
 
-// mmapSupported reports whether this platform can serve snapshots via
-// memory mapping; without it every load takes the streaming copy path.
-const mmapSupported = false
-
+// mmapFile cannot map on this platform; LoadEngineFile then copy-loads
+// the file with LoadEngine.
 func mmapFile(f *os.File) ([]byte, error) {
 	return nil, errors.ErrUnsupported
 }

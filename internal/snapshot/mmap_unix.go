@@ -8,11 +8,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported reports whether this platform can serve snapshots via
-// memory mapping. The non-unix build constrains loads to the streaming
-// copy path.
-const mmapSupported = true
-
 // mmapFile maps the whole file read-only and shared, so the posting
 // blob lives in page cache — one physical copy no matter how many
 // co-located processes map the same snapshot.

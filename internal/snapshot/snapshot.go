@@ -56,12 +56,13 @@
 // section) stores each block's TF-region offset and gap-byte length;
 // the doc-gap region is implied at tfsOff + 8·N. Because every TF
 // region is 8-aligned, a loader may mmap the file and hand the ir
-// layer zero-copy float64 views of the mapped bytes; a streaming
-// loader instead copies the blob to one aligned heap buffer and
-// builds the same views over that. blobCRC64 is a CRC-64/ECMA over
-// the blob, verified on copy loads; mapped loads skip it (hashing the
-// whole blob would defeat O(1) boot) and trust the kernel to page in
-// exactly what was written.
+// layer zero-copy float64 views of the mapped bytes; a copying loader
+// instead reads the blob into one aligned heap buffer and builds the
+// same views over that. Both loaders then run one decoder over
+// in-memory bytes. blobCRC64 is a CRC-64/ECMA over the blob, verified
+// on copy loads; mapped loads skip it (hashing the whole blob would
+// defeat O(1) boot) and trust the kernel to page in exactly what was
+// written.
 //
 // # Compatibility rules
 //
@@ -179,9 +180,10 @@ const (
 // Decode-time sanity caps: a corrupt length prefix must fail cleanly,
 // not attempt a multi-gigabyte allocation before the checksum check.
 // Counts additionally bound only the *initial* slice capacity
-// (maxPrealloc); the slices grow by append, so a corrupt count fails
-// with ErrTruncated as soon as the stream runs dry rather than
-// allocating count×elemsize up front.
+// (maxPrealloc, and what the remaining bytes could encode); the slices
+// grow by append, so a corrupt count fails with ErrTruncated as soon
+// as the metadata runs dry rather than allocating count×elemsize up
+// front.
 const (
 	maxStringLen = 1 << 28 // 256 MiB per string
 	maxCount     = 1 << 26 // 64M elements per collection
@@ -215,24 +217,54 @@ func SaveState(w io.Writer, db *relational.Database, st *search.EngineState) err
 // saved over (same schema and rows; the fingerprint check catches
 // drift). On success the engine answers searches bitwise-identically to
 // the engine that was saved.
+//
+// LoadEngine reads r to EOF. A v3 posting blob is copied into one
+// aligned heap buffer that the engine keeps; the metadata after it is
+// read into a buffer dropped once decoded.
 func LoadEngine(r io.Reader, db *relational.Database) (*search.Engine, error) {
-	st, err := decodeState(r, db)
+	size := int64(-1)
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = int64(s.Len())
+	case interface{ Stat() (os.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil {
+			size = fi.Size()
+		}
+	}
+	var head [v3HeaderLen]byte
+	n, err := io.ReadFull(r, head[:])
+	if err != nil && !isEOF(err) {
+		return nil, err
+	}
+	version, headLen, err := checkVersion(head[:n])
+	if err != nil {
+		return nil, err
+	}
+	var blob []byte
+	if version >= 3 {
+		if blob, err = readBlob(r, binary.LittleEndian.Uint64(head[6:14])); err != nil {
+			return nil, err
+		}
+	}
+	// Before v3 the header is 6 bytes, so the metadata opens with
+	// head[headLen:n].
+	meta, err := readMeta(r, head[headLen:n], size-int64(n)-int64(len(blob)))
+	if err != nil {
+		return nil, err
+	}
+	st, err := decodeState(head[:headLen], blob, meta, true, db)
 	if err != nil {
 		return nil, err
 	}
 	return search.RestoreEngine(db, st)
 }
 
-// errNotMappable marks a snapshot file the mapped loader cannot serve
-// in place (pre-v3 version, or a host without usable mmap semantics);
-// LoadEngineFile falls back to the streaming path, which produces the
-// canonical error for genuinely bad files.
-var errNotMappable = errors.New("snapshot: not mappable")
-
 // LoadEngineFile loads a snapshot from a file, serving posting blocks
-// directly out of a read-only memory mapping when the platform and the
-// snapshot version (3+) allow it, and falling back to the streaming
-// LoadEngine otherwise. mapped reports which path was taken.
+// directly out of a read-only memory mapping when the snapshot version
+// (3+) allows it. mapped reports whether it did. Where the file cannot
+// be mapped (an empty file, or a platform without mmap) it falls back
+// to LoadEngine on the untouched file; a v1 or v2 file is decoded from
+// the mapping into heap copies and the mapping released at once.
 //
 // A mapped load is O(metadata), not O(corpus): posting payloads are
 // never touched at load time, only paged in on first search. The
@@ -245,66 +277,61 @@ func LoadEngineFile(path string, db *relational.Database) (eng *search.Engine, m
 		return nil, false, err
 	}
 	defer f.Close()
-	if mmapSupported && hostLittleEndian {
-		eng, err := loadMapped(f, db)
-		if err == nil {
-			return eng, true, nil
-		}
-		if !errors.Is(err, errNotMappable) {
-			return nil, false, err
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, false, err
-		}
-	}
-	eng, err = LoadEngine(f, db)
-	return eng, false, err
-}
-
-// loadMapped maps the file and decodes it in place. The stream handed
-// to the decoder splices the blob region out (header + metadata only),
-// so the checksum machinery hashes exactly what the encoder hashed
-// while the posting payloads stay untouched.
-func loadMapped(f *os.File, db *relational.Database) (*search.Engine, error) {
 	data, err := mmapFile(f)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", errNotMappable, err)
+		eng, err = LoadEngine(f, db)
+		return eng, false, err
 	}
 	m := newMapping(data)
-	eng, err := restoreMapped(m, db)
-	if err != nil {
+	eng, mapped, err = loadMapped(data, m, db)
+	if !mapped {
 		m.Close()
-		return nil, err
 	}
-	return eng, nil
+	return eng, mapped, err
 }
 
-func restoreMapped(m *Mapping, db *relational.Database) (*search.Engine, error) {
-	data := m.data
-	if len(data) < 16 || [4]byte(data[:4]) != magic {
-		// Too short or not a snapshot: let the streaming path produce
-		// the canonical ErrTruncated/ErrBadMagic.
-		return nil, errNotMappable
-	}
-	if binary.LittleEndian.Uint16(data[4:6]) < 3 {
-		return nil, errNotMappable
-	}
-	blobLen := binary.LittleEndian.Uint64(data[6:14])
-	if blobLen > uint64(len(data)-16) {
-		return nil, fmt.Errorf("%w: %d-byte blob in %d-byte file", ErrTruncated, blobLen, len(data))
-	}
-	blobEnd := 16 + int(blobLen)
-	stream := io.MultiReader(bytes.NewReader(data[:16]), bytes.NewReader(data[blobEnd:]))
-	st, err := decodeStateCfg(stream, db, &decodeCfg{
-		mappedBlob: data[16:blobEnd:blobEnd],
-		limit:      int64(len(data) - int(blobLen)),
-	})
+// loadMapped is the mapped front end: it restores an engine from a
+// whole snapshot held in memory. A v3 snapshot's posting blocks alias
+// data in place, their blob CRC-64 unverified, and owner (the Mapping
+// behind data, if any) is anchored to the engine; inPlace reports
+// that. Older versions decode to heap copies that do not reference
+// data.
+func loadMapped(data []byte, owner any, db *relational.Database) (eng *search.Engine, inPlace bool, err error) {
+	head, blob, meta, err := splitSnapshot(data)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	st.TrustedPostings = true
-	st.PostingsOwner = m
-	return search.RestoreEngine(db, st)
+	st, err := decodeState(head, blob, meta, false, db)
+	if err != nil {
+		return nil, false, err
+	}
+	inPlace = len(head) == v3HeaderLen
+	if inPlace {
+		st.TrustedPostings = true
+		st.PostingsOwner = owner
+	}
+	if eng, err = search.RestoreEngine(db, st); err != nil {
+		return nil, false, err
+	}
+	return eng, inPlace, nil
+}
+
+// splitSnapshot cuts a whole in-memory snapshot into its header, its
+// v3 posting blob (nil before v3) and the metadata after the blob.
+func splitSnapshot(data []byte) (head, blob, meta []byte, err error) {
+	_, headLen, err := checkVersion(data[:min(len(data), v3HeaderLen)])
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if headLen == v3HeaderLen {
+		blobLen := binary.LittleEndian.Uint64(data[6:14])
+		if blobLen > uint64(len(data)-headLen) {
+			return nil, nil, nil, fmt.Errorf("%w: %d-byte blob in %d-byte file", ErrTruncated, blobLen, len(data))
+		}
+		blobEnd := headLen + int(blobLen)
+		blob = data[headLen:blobEnd:blobEnd]
+	}
+	return data[:headLen], blob, data[headLen+len(blob):], nil
 }
 
 // fingerprint summarizes a database for the compatibility check: its
@@ -340,7 +367,7 @@ var contentTable = crc64.MakeTable(crc64.ECMA)
 // encoder serializes primitives to w while folding every written byte
 // into the running checksum. Errors are sticky.
 type encoder struct {
-	w   io.Writer
+	w   *bufio.Writer
 	crc hash.Hash32
 	err error
 }
@@ -430,7 +457,9 @@ func blobLayout(postings [][]ir.TermPostings) (blobLen uint64, tfsOffs []uint64)
 }
 
 func encodeStateAt(w io.Writer, db *relational.Database, st *search.EngineState, version uint16) error {
-	enc := &encoder{w: w, crc: crc32.New(crcTable)}
+	// Buffered: the encoder emits each varint and string separately, and
+	// unbuffered that is one write call apiece.
+	enc := &encoder{w: bufio.NewWriterSize(w, 64<<10), crc: crc32.New(crcTable)}
 	enc.write(magic[:])
 	var ver [2]byte
 	binary.LittleEndian.PutUint16(ver[:], version)
@@ -582,104 +611,165 @@ func encodeStateAt(w io.Writer, db *relational.Database, st *search.EngineState,
 	}
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], enc.crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
+	if _, err := enc.w.Write(sum[:]); err != nil {
 		return fmt.Errorf("snapshot: writing checksum: %w", err)
+	}
+	if err := enc.w.Flush(); err != nil {
+		return fmt.Errorf("snapshot: writing: %w", err)
 	}
 	return nil
 }
 
 // --- decoding ---------------------------------------------------------------
 
-// decoder reads primitives while folding every consumed byte into the
-// running checksum. Errors are sticky; premature EOF maps to
-// ErrTruncated.
-type decoder struct {
-	r   io.Reader // payload reads (hashed)
-	raw *bufio.Reader
-	crc hash.Hash32
-	err error
+// v3HeaderLen is the length of the v3 header: magic, version, blob
+// length and pad. Older versions end the header after the version.
+const v3HeaderLen = 16
 
-	// limit is the number of bytes the stream can still yield, when
-	// known (-1 otherwise). Length-measurable sources — bytes.Reader
-	// and friends via Len(), plus the mapped loader, which knows the
-	// file size — let the decoder refuse counts and preallocations
-	// that provably exceed the remaining bytes, so a corrupt huge
-	// count in a truncated file fails before allocating, not after.
-	limit int64
+// checkVersion validates a snapshot's header, given up to its first
+// v3HeaderLen bytes: the magic, then the format version, then (from
+// v3) the zero pad. It returns the version and the header length that
+// version uses. Both loaders call it before they read past the header,
+// so they report a bad header identically.
+func checkVersion(head []byte) (version uint16, headLen int, err error) {
+	if len(head) < 4 {
+		return 0, 0, ErrTruncated
+	}
+	if [4]byte(head[:4]) != magic {
+		return 0, 0, ErrBadMagic
+	}
+	if len(head) < 6 {
+		return 0, 0, ErrTruncated
+	}
+	version = binary.LittleEndian.Uint16(head[4:6])
+	if version > FormatVersion {
+		return 0, 0, &FutureVersionError{Version: version}
+	}
+	if version < minReadVersion {
+		return 0, 0, fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, version)
+	}
+	if version < 3 {
+		return version, 6, nil
+	}
+	if len(head) < v3HeaderLen {
+		return 0, 0, ErrTruncated
+	}
+	if head[14] != 0 || head[15] != 0 {
+		return 0, 0, fmt.Errorf("%w: nonzero header padding", ErrCorrupt)
+	}
+	return version, v3HeaderLen, nil
 }
 
-func newDecoder(r io.Reader) *decoder {
-	limit := int64(-1)
-	if l, ok := r.(interface{ Len() int }); ok {
-		limit = int64(l.Len())
+func isEOF(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+// maxBlobLen bounds a v3 blob length before readBlob sizes anything by
+// it: no stream is that long, and the word arithmetic cannot overflow.
+const maxBlobLen = 1 << 62
+
+// readBlob reads the n-byte v3 posting blob from r into one
+// 8-byte-aligned heap buffer, the copying stand-in for a mapping. The
+// buffer grows geometrically as bytes actually arrive, so a corrupt
+// huge n in a truncated stream fails with ErrTruncated when the stream
+// runs dry instead of attempting the full allocation up front.
+func readBlob(r io.Reader, n uint64) ([]byte, error) {
+	if n > maxBlobLen {
+		return nil, ErrTruncated
 	}
-	raw := bufio.NewReader(r)
-	crc := crc32.New(crcTable)
-	// Tee after buffering: the checksum must cover exactly the bytes
-	// the decoder consumes, never the bufio read-ahead.
-	return &decoder{r: io.TeeReader(raw, crc), raw: raw, crc: crc, limit: limit}
+	nWords := (n + 7) / 8
+	words := make([]float64, min(nWords, 1<<13)) // start at ≤64 KiB
+	for got := uint64(0); got < n; {
+		if got == uint64(len(words))*8 {
+			grown := make([]float64, min(nWords, 2*uint64(len(words))))
+			copy(grown, words)
+			words = grown
+		}
+		m, err := io.ReadFull(r, f64Bytes(words)[got:min(uint64(len(words))*8, n)])
+		got += uint64(m)
+		if isEOF(err) {
+			return nil, ErrTruncated
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if nWords == 0 {
+		return nil, nil
+	}
+	return f64Bytes(words)[:n], nil
+}
+
+// readMeta reads the rest of r after prefix into one buffer. sizeHint
+// is the number of bytes r is expected to hold (negative if unknown);
+// it sizes the buffer once, and a wrong hint costs only a regrow.
+func readMeta(r io.Reader, prefix []byte, sizeHint int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, len(prefix)+int(max(sizeHint, 0))+bytes.MinRead))
+	buf.Write(prefix)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// decoder reads primitives off an in-memory metadata section. Errors
+// are sticky; running off the end is ErrTruncated.
+type decoder struct {
+	b   []byte
+	off int
+	err error
 }
 
 func (d *decoder) fail(err error) {
 	if d.err == nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			err = ErrTruncated
-		}
 		d.err = err
 	}
 }
 
-func (d *decoder) read(p []byte) {
+// next consumes and returns the next n bytes, which alias d.b.
+func (d *decoder) next(n int) []byte {
 	if d.err != nil {
-		return
+		return nil
 	}
-	if _, err := io.ReadFull(d.r, p); err != nil {
-		d.fail(err)
-		return
+	if n > len(d.b)-d.off {
+		d.fail(ErrTruncated)
+		return nil
 	}
-	if d.limit >= 0 {
-		d.limit -= int64(len(p))
-	}
+	p := d.b[d.off : d.off+n]
+	d.off += n
+	return p
 }
 
 // prealloc caps an untrusted element count down to a safe initial
 // slice capacity: at most maxPrealloc elements, and never more than
-// the remaining stream bytes could possibly encode given a minimum
-// on-wire element size.
+// the remaining bytes could possibly encode given a minimum on-wire
+// element size.
 func (d *decoder) prealloc(n, minElemSize int) int {
-	if n > maxPrealloc {
-		n = maxPrealloc
-	}
-	if d.limit >= 0 {
-		if rem := d.limit / int64(minElemSize); int64(n) > rem {
-			n = int(rem)
-		}
-	}
-	return n
+	return min(n, maxPrealloc, (len(d.b)-d.off)/minElemSize)
 }
 
 func (d *decoder) byte() byte {
-	var b [1]byte
-	d.read(b[:])
-	return b[0]
+	if p := d.next(1); p != nil {
+		return p[0]
+	}
+	return 0
 }
 
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(byteReaderFunc(d.byte))
-	if err != nil && d.err == nil {
-		d.fail(err)
+	v, n := binary.Uvarint(d.b[d.off:])
+	switch {
+	case n == 0:
+		d.fail(ErrTruncated)
+	case n < 0:
+		d.fail(fmt.Errorf("%w: varint overflows 64 bits", ErrCorrupt))
+	default:
+		d.off += n
 	}
 	return v
 }
-
-// byteReaderFunc adapts the decoder's single-byte read to io.ByteReader.
-type byteReaderFunc func() byte
-
-// ReadByte implements io.ByteReader.
-func (f byteReaderFunc) ReadByte() (byte, error) { return f(), nil }
 
 func (d *decoder) count(what string) int {
 	n := d.uvarint()
@@ -690,25 +780,8 @@ func (d *decoder) count(what string) int {
 	return int(n)
 }
 
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringLen {
-		d.fail(fmt.Errorf("%w: string length %d exceeds sanity cap", ErrCorrupt, n))
-		return ""
-	}
-	if d.limit >= 0 && int64(n) > d.limit {
-		d.fail(io.ErrUnexpectedEOF)
-		return ""
-	}
-	buf := make([]byte, n)
-	d.read(buf)
-	return string(buf)
-}
-
-// bytes reads a length-prefixed byte blob, bounded like strings.
+// bytes reads a length-prefixed byte string, bounded by maxStringLen.
+// The result aliases d.b; callers copy what they keep.
 func (d *decoder) bytes(what string) []byte {
 	n := d.uvarint()
 	if d.err != nil {
@@ -718,58 +791,18 @@ func (d *decoder) bytes(what string) []byte {
 		d.fail(fmt.Errorf("%w: %s length %d exceeds sanity cap", ErrCorrupt, what, n))
 		return nil
 	}
-	if d.limit >= 0 && int64(n) > d.limit {
-		d.fail(io.ErrUnexpectedEOF)
-		return nil
-	}
-	buf := make([]byte, n)
-	d.read(buf)
-	return buf
+	return d.next(int(n))
 }
 
-// blobCopy reads n bytes from the raw (unhashed) stream into one
-// 8-byte-aligned heap buffer — the streaming stand-in for a mapping.
-// The buffer grows geometrically as bytes actually arrive, so a
-// corrupt huge n in a truncated file fails with ErrTruncated when the
-// stream runs dry instead of attempting the full allocation up front.
-func (d *decoder) blobCopy(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.limit >= 0 && int64(n) > d.limit {
-		d.fail(io.ErrUnexpectedEOF)
-		return nil
-	}
-	nWords := int((n + 7) / 8)
-	words := make([]float64, min(nWords, 1<<13)) // start at ≤64 KiB
-	got := 0
-	for uint64(got) < n {
-		if got == len(words)*8 {
-			grown := make([]float64, min(nWords, 2*len(words)))
-			copy(grown, words)
-			words = grown
-		}
-		chunk := f64Bytes(words)[got:min(len(words)*8, int(n))]
-		m, err := io.ReadFull(d.raw, chunk)
-		got += m
-		if d.limit >= 0 {
-			d.limit -= int64(m)
-		}
-		if err != nil {
-			d.fail(err)
-			return nil
-		}
-	}
-	if nWords == 0 {
-		return nil
-	}
-	return f64Bytes(words)[:n]
+func (d *decoder) str() string {
+	return string(d.bytes("string"))
 }
 
 func (d *decoder) f64() float64 {
-	var buf [8]byte
-	d.read(buf[:])
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+	if p := d.next(8); p != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(p))
+	}
+	return 0
 }
 
 func (d *decoder) stringMap() map[string]string {
@@ -785,78 +818,26 @@ func (d *decoder) stringMap() map[string]string {
 	return m
 }
 
-func decodeState(r io.Reader, db *relational.Database) (*search.EngineState, error) {
-	return decodeStateCfg(r, db, nil)
-}
+// decodeState is the one snapshot decoder; both loaders feed it. head
+// is the header checkVersion accepted, blob the v3 posting blob (nil
+// before v3), and meta everything after the blob, trailing checksum
+// included. Strings and v2 gap bytes are copied out, so only v3
+// posting blocks alias blob, and nothing aliases head or meta.
+// checkBlob verifies the blob's CRC-64 (copy loads); a mapped load
+// leaves it unread. The trailing CRC-32C over head and the decoded
+// metadata is checked before the state is returned.
+func decodeState(head, blob, meta []byte, checkBlob bool, db *relational.Database) (*search.EngineState, error) {
+	dec := &decoder{b: meta}
+	version := binary.LittleEndian.Uint16(head[4:6])
+	blobLen := uint64(len(blob))
 
-// decodeCfg alters how decodeStateCfg obtains the v3 posting blob.
-type decodeCfg struct {
-	// mappedBlob, when non-nil, is the snapshot's blob region served
-	// from a memory mapping; the stream then contains only header and
-	// metadata (the mapped loader splices the blob out), the blob's
-	// CRC-64 is NOT verified (the point of a mapped load is not to
-	// touch all of it), and decoded posting blocks alias the mapping.
-	mappedBlob []byte
-	// limit is the stream's byte count when the caller knows it better
-	// than the decoder can detect (mapped loads); 0 means autodetect.
-	limit int64
-}
-
-func decodeStateCfg(r io.Reader, db *relational.Database, cfg *decodeCfg) (*search.EngineState, error) {
-	dec := newDecoder(r)
-	if cfg != nil && cfg.limit > 0 {
-		dec.limit = cfg.limit
-	}
-	var m [4]byte
-	dec.read(m[:])
-	if dec.err != nil {
-		return nil, dec.err
-	}
-	if m != magic {
-		return nil, ErrBadMagic
-	}
-	var ver [2]byte
-	dec.read(ver[:])
-	if dec.err != nil {
-		return nil, dec.err
-	}
-	version := binary.LittleEndian.Uint16(ver[:])
-	if version > FormatVersion {
-		return nil, &FutureVersionError{Version: version}
-	}
-	if version < minReadVersion {
-		return nil, fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, version)
-	}
-
-	// v3: the header ends with the blob length, then the (unhashed)
-	// blob, then the hashed metadata opens with the blob's CRC-64.
-	var blob []byte
-	var blobLen uint64
-	mapped := cfg != nil && cfg.mappedBlob != nil
+	// v3: the hashed metadata opens with the blob's CRC-64.
 	if version >= 3 {
-		var hdr [10]byte
-		dec.read(hdr[:])
+		bc := dec.next(8)
 		if dec.err != nil {
 			return nil, dec.err
 		}
-		blobLen = binary.LittleEndian.Uint64(hdr[:8])
-		if hdr[8] != 0 || hdr[9] != 0 {
-			return nil, fmt.Errorf("%w: nonzero header padding", ErrCorrupt)
-		}
-		if mapped {
-			if uint64(len(cfg.mappedBlob)) != blobLen {
-				return nil, fmt.Errorf("%w: mapped blob is %d bytes, header says %d", ErrCorrupt, len(cfg.mappedBlob), blobLen)
-			}
-			blob = cfg.mappedBlob
-		} else {
-			blob = dec.blobCopy(blobLen)
-		}
-		var bc [8]byte
-		dec.read(bc[:])
-		if dec.err != nil {
-			return nil, dec.err
-		}
-		if !mapped && crc64.Checksum(blob, contentTable) != binary.LittleEndian.Uint64(bc[:]) {
+		if checkBlob && crc64.Checksum(blob, contentTable) != binary.LittleEndian.Uint64(bc) {
 			return nil, fmt.Errorf("%w: posting blob CRC-64 mismatch", ErrChecksum)
 		}
 	}
@@ -885,8 +866,7 @@ func decodeStateCfg(r io.Reader, db *relational.Database, cfg *decodeCfg) (*sear
 	wantName := dec.str()
 	wantTables := int(dec.uvarint())
 	wantRows := int(dec.uvarint())
-	var wantContent [8]byte
-	dec.read(wantContent[:])
+	wantContent := dec.next(8)
 
 	st.CatalogJSON = []byte(dec.str())
 
@@ -1012,7 +992,7 @@ func decodeStateCfg(r io.Reader, db *relational.Database, cfg *decodeCfg) (*sear
 					}
 					b.MaxTF = dec.f64()
 					b.MinLen = dec.f64()
-					b.Docs = dec.bytes("postings gaps")
+					b.Docs = bytes.Clone(dec.bytes("postings gaps"))
 					if dec.err == nil && (b.N < 1 || b.N > maxCount) {
 						return nil, fmt.Errorf("%w: postings block of %d entries", ErrCorrupt, b.N)
 					}
@@ -1035,17 +1015,17 @@ func decodeStateCfg(r io.Reader, db *relational.Database, cfg *decodeCfg) (*sear
 	}
 
 	// Verify the trailing checksum before trusting anything decoded.
-	sum := dec.crc.Sum32()
-	var stored [4]byte
-	if _, err := io.ReadFull(dec.raw, stored[:]); err != nil {
-		return nil, ErrTruncated
+	sum := crc32.Update(crc32.Checksum(head, crcTable), crcTable, meta[:dec.off])
+	stored := dec.next(4)
+	if dec.err != nil {
+		return nil, dec.err
 	}
-	if binary.LittleEndian.Uint32(stored[:]) != sum {
+	if binary.LittleEndian.Uint32(stored) != sum {
 		return nil, ErrChecksum
 	}
 
 	gotName, gotTables, gotRows, gotContent := fingerprint(db)
-	wantHash := binary.LittleEndian.Uint64(wantContent[:])
+	wantHash := binary.LittleEndian.Uint64(wantContent)
 	if gotName != wantName || gotTables != wantTables || gotRows != wantRows || gotContent != wantHash {
 		return nil, &DatabaseMismatchError{
 			Want: fmt.Sprintf("%q (%d tables, %d rows, content %016x)", wantName, wantTables, wantRows, wantHash),

@@ -382,3 +382,47 @@ func searchTopK(e *search.Engine, query string, k int) []search.Result {
 	}
 	return resp.Results
 }
+
+// countingWriter counts the Write calls a save makes.
+type countingWriter struct{ writes, bytes int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	c.bytes += len(p)
+	return len(p), nil
+}
+
+// TestSaveEngineWriteCount: a save reaches its writer in buffer-sized
+// writes, not one per varint and string, so a save to a file costs a
+// few syscalls per 64 KiB instead of millions.
+func TestSaveEngineWriteCount(t *testing.T) {
+	var cw countingWriter
+	if err := SaveEngine(&cw, mutatedEngine(t)); err != nil {
+		t.Fatal(err)
+	}
+	const bufSize = 64 << 10
+	if limit := (cw.bytes+bufSize-1)/bufSize + 1; cw.writes > limit {
+		t.Fatalf("saving %d bytes made %d writes, want at most %d", cw.bytes, cw.writes, limit)
+	}
+}
+
+// TestLoadEngineAllocs pins the copying load's allocation count on the
+// mutated fixture. A load makes about 50k allocations, nearly all of
+// them strings, maps and slices the engine keeps; reading the metadata
+// through a per-byte stream more than doubles that and trips the bound.
+func TestLoadEngineAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveEngine(&buf, mutatedEngine(t)); err != nil {
+		t.Fatal(err)
+	}
+	db := fixtureDB(t)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := LoadEngine(bytes.NewReader(buf.Bytes()), db); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 111_000
+	if allocs > budget {
+		t.Fatalf("LoadEngine made %.0f allocations, budget %d", allocs, budget)
+	}
+}

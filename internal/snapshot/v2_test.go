@@ -116,7 +116,11 @@ func TestV2ExhaustiveFlagPersisted(t *testing.T) {
 	if err := SaveEngine(&buf, e); err != nil {
 		t.Fatal(err)
 	}
-	st, err := decodeState(bytes.NewReader(buf.Bytes()), db)
+	head, blob, meta, err := splitSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeState(head, blob, meta, true, db)
 	if err != nil {
 		t.Fatal(err)
 	}

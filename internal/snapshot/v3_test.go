@@ -8,9 +8,11 @@ import (
 	"hash/crc32"
 	"hash/crc64"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -384,12 +386,12 @@ func TestV3MetadataFlipSweep(t *testing.T) {
 }
 
 // TestDecoderPreallocClamp: untrusted counts are clamped both by the
-// absolute cap and by the bytes provably remaining in the stream, so a
-// lying count cannot commission a huge allocation.
+// absolute cap and by the bytes provably remaining in the metadata, so
+// a lying count cannot commission a huge allocation.
 func TestDecoderPreallocClamp(t *testing.T) {
-	dec := newDecoder(bytes.NewReader(make([]byte, 160)))
+	dec := &decoder{b: make([]byte, 160)}
 	if got := dec.prealloc(1<<40, 16); got > 10 {
-		t.Fatalf("prealloc(1<<40, 16) over a 160-byte stream = %d, want <= 10", got)
+		t.Fatalf("prealloc(1<<40, 16) over 160 bytes = %d, want <= 10", got)
 	}
 	if got := dec.prealloc(4, 16); got != 4 {
 		t.Fatalf("prealloc(4, 16) = %d, want 4 (honest counts pass through)", got)
@@ -397,24 +399,98 @@ func TestDecoderPreallocClamp(t *testing.T) {
 	if got := dec.prealloc(maxPrealloc*100, 1); got > maxPrealloc {
 		t.Fatalf("prealloc ignored the absolute cap: %d > %d", got, maxPrealloc)
 	}
-	// Unknown-length streams still get the absolute cap.
-	unsized := newDecoder(io.LimitReader(bytes.NewReader(make([]byte, 160)), 160))
-	if got := unsized.prealloc(1<<40, 16); got != maxPrealloc {
-		t.Fatalf("prealloc over an unsized stream = %d, want %d", got, maxPrealloc)
+	// Plenty of remaining bytes still get the absolute cap.
+	roomy := &decoder{b: make([]byte, 16*maxPrealloc*4)}
+	if got := roomy.prealloc(1<<40, 16); got != maxPrealloc {
+		t.Fatalf("prealloc over %d bytes = %d, want %d", len(roomy.b), got, maxPrealloc)
 	}
 }
 
-// TestBlobCopyHugeCount: a corrupt blob length fails fast — via the
-// stream-length clamp when the source is sized, and via the
-// grow-as-bytes-arrive loop when it is not — instead of attempting the
-// full allocation up front.
+// TestBlobCopyHugeCount: a corrupt blob length fails fast, via the
+// grow-as-bytes-arrive loop, whether or not the source knows its
+// length, instead of attempting the full allocation up front. A length
+// near 2^64, whose word count overflows, fails the same way.
 func TestBlobCopyHugeCount(t *testing.T) {
-	sized := newDecoder(bytes.NewReader(make([]byte, 100)))
-	if sized.blobCopy(1 << 40); !errors.Is(sized.err, ErrTruncated) {
-		t.Fatalf("sized stream: err = %v, want ErrTruncated", sized.err)
+	if _, err := readBlob(bytes.NewReader(make([]byte, 100)), 1<<40); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("sized stream: err = %v, want ErrTruncated", err)
 	}
-	unsized := newDecoder(io.LimitReader(bytes.NewReader(make([]byte, 100)), 100))
-	if unsized.blobCopy(1 << 40); !errors.Is(unsized.err, ErrTruncated) {
-		t.Fatalf("unsized stream: err = %v, want ErrTruncated", unsized.err)
+	for _, n := range []uint64{1 << 40, math.MaxUint64} {
+		unsized := io.LimitReader(bytes.NewReader(make([]byte, 100)), 100)
+		if _, err := readBlob(unsized, n); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("unsized stream, n = %d: err = %v, want ErrTruncated", n, err)
+		}
+	}
+}
+
+// TestLoadersAgree: the copying loader and the mapped front end reject
+// the same damaged snapshots with the same sentinel or typed error, and
+// load the same intact ones, in every format version. (They differ by
+// design only on a flipped blob byte; see TestV3BlobCorruption.)
+func TestLoadersAgree(t *testing.T) {
+	e := mutatedEngine(t)
+	st, err := e.DumpState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mint := func(version uint16, st *search.EngineState) []byte {
+		var buf bytes.Buffer
+		if err := encodeStateAt(&buf, e.Catalog().DB(), st, version); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	modified := func(snap []byte, edit func([]byte)) []byte {
+		b := append([]byte(nil), snap...)
+		edit(b)
+		return b
+	}
+	is := func(target error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, target) }
+	}
+	ok := func(err error) bool { return err == nil }
+	future := func(err error) bool {
+		var fv *FutureVersionError
+		return errors.As(err, &fv)
+	}
+
+	type loadCase struct {
+		name string
+		snap []byte
+		want func(error) bool
+	}
+	var cases []loadCase
+	for _, version := range []uint16{1, 2, 3} {
+		snap := mint(version, st)
+		v := "v" + string(rune('0'+version)) + " "
+		cases = append(cases,
+			loadCase{v + "intact", snap, ok},
+			loadCase{v + "bad magic", modified(snap, func(b []byte) { b[0] = 'X' }), is(ErrBadMagic)},
+			loadCase{v + "future version", modified(snap, func(b []byte) { b[4], b[5] = 0xff, 0x7f }), future},
+			loadCase{v + "payload flip", modified(snap, func(b []byte) { b[len(b)-5] ^= 0xff }), is(ErrChecksum)},
+			loadCase{v + "checksum flip", modified(snap, func(b []byte) { b[len(b)-1] ^= 0xff }), is(ErrChecksum)},
+		)
+		for _, cut := range []int{0, 3, 5, 12, 40, len(snap) / 2, len(snap) - 5, len(snap) - 2} {
+			cases = append(cases, loadCase{v + "cut at " + strconv.Itoa(cut), snap[:cut], is(ErrTruncated)})
+		}
+	}
+	snap := mint(3, st)
+	blobLen := int(v3Blob(t, snap))
+	for _, cut := range []int{17, 16 + blobLen/2, 16 + blobLen - 1, 16 + blobLen + 3} {
+		cases = append(cases, loadCase{"v3 cut at " + strconv.Itoa(cut), snap[:cut], is(ErrTruncated)})
+	}
+	swapped, err := e.DumpState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped.Docs[0].Slot, swapped.Docs[1].Slot = swapped.Docs[1].Slot, swapped.Docs[0].Slot
+	cases = append(cases, loadCase{"v3 slot disorder", mint(3, swapped), is(ErrCorrupt)})
+
+	db := fixtureDB(t)
+	for _, c := range cases {
+		_, copyErr := LoadEngine(bytes.NewReader(c.snap), db)
+		_, _, mapErr := loadMapped(c.snap, nil, db)
+		if !c.want(copyErr) || !c.want(mapErr) {
+			t.Errorf("%s: copy load err = %v, mapped load err = %v", c.name, copyErr, mapErr)
+		}
 	}
 }

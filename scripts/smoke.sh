@@ -84,7 +84,9 @@ else
     PORT=$1; SPORT=$2; P0PORT=$3; P1PORT=$4; COPORT=$5
 fi
 BASE="http://127.0.0.1:$PORT"
-BIN="$(mktemp -d)/qunitsd"
+# Every binary the flows build goes under BINDIR, which cleanup removes.
+BINDIR="$(mktemp -d)"
+BIN="$BINDIR/qunitsd"
 LOG="$(mktemp)"
 SNAP="$(mktemp -u).snap"
 
@@ -93,9 +95,9 @@ cleanup() {
     [ -n "${PID:-}" ] && wait "$PID" 2>/dev/null || true
     for p in ${CPIDS:-}; do kill "$p" 2>/dev/null || true; done
     for p in ${CPIDS:-}; do wait "$p" 2>/dev/null || true; done
-    rm -f "$BIN" "$LOG" "$SNAP" "$SNAP.tmp" "$LOG.searchfail"
+    rm -rf "$BINDIR"
+    rm -f "$LOG" "$SNAP" "$SNAP.tmp" "$LOG.searchfail"
     [ -n "${CLOGS:-}" ] && rm -rf "$CLOGS"
-    [ -n "${EVBIN:-}" ] && rm -f "$EVBIN"
     [ -n "${EVDIR:-}" ] && rm -rf "$EVDIR"
     # A run that ends without `exit` takes the trap's last status, so a
     # false test above must not be last; fail has already exited 1.
@@ -500,7 +502,7 @@ cluster: $C_OUT"
 fi
 
 if [ "$MODE" = "eval" ] || [ "$MODE" = "all" ]; then
-    EVBIN="$(mktemp -d)/eval"
+    EVBIN="$BINDIR/eval"
     EVDIR="$(mktemp -d)"
     echo "smoke: building cmd/eval"
     go build -o "$EVBIN" ./cmd/eval
